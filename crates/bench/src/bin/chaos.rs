@@ -79,7 +79,7 @@ fn run_row(
         let ring = Arc::new(RingRecorder::unbounded());
         let mut traced = opts.clone();
         traced.telemetry = Telemetry::new(ring.clone());
-        let run = run_grid(topology, workload, &traced, false, false);
+        let run = run_grid(topology, workload, &traced, false);
         traced.telemetry.flush();
         streams.push(normalise(ring.snapshot()));
         if first.is_none() {
@@ -231,7 +231,7 @@ fn main() {
         if label == "fault-free" {
             // The dormant layer must not perturb a single outcome of a
             // plain run with no chaos configured at all.
-            let plain = run_grid(&topology, &workload, &opts, false, false);
+            let plain = run_grid(&topology, &workload, &opts, false);
             assert!(run.grid.chaos_stats().is_none(), "empty plan built state");
             assert_eq!(plain.events, run.events, "event count diverged");
             assert_eq!(plain.grid.horizon(), run.grid.horizon(), "horizon diverged");

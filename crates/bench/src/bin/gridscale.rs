@@ -2,17 +2,12 @@
 //!
 //! Runs experiment 3 (GA + agent discovery) over complete 4-ary agent
 //! trees up to 1365 agents and measures end-to-end event throughput of
-//! the reworked grid layer — interned resource ids, incremental
-//! bookkeeping, cached service-info templates and the timing-wheel event
-//! queue — against the pre-rework baseline (string-keyed lookups,
-//! full-grid scans, per-call `format!` and the binary-heap queue), which
-//! `--baseline` restores at run time.
+//! the grid layer — interned resource ids, incremental bookkeeping,
+//! cached service-info templates and the timing-wheel event queue.
 //!
 //! The GA is deliberately tiny (population 8, 4 generations): this
 //! bench isolates the grid layer's bookkeeping, and a paper-sized GA
-//! would bury it under compute that is identical on both sides. Both
-//! modes must agree on every simulation outcome — horizon, migrations,
-//! hops, event count — which the sweep asserts.
+//! would bury it under its own compute.
 //!
 //! A second sweep exercises the sharded event loop (DESIGN.md §13) at
 //! scale: complete 4-ary trees of 5 461 and 21 845 agents — the latter
@@ -24,10 +19,9 @@
 //! outcomes identical regardless, which is the point of the gate).
 //!
 //! Writes `BENCH_gridscale.json` (override with `--out PATH`); the
-//! largest legacy shape also gets a per-layer breakdown from the
-//! telemetry aggregator. `--quick` shrinks both sweeps for CI smoke
-//! runs; `--baseline` measures only the legacy paths and skips the
-//! shard sweep.
+//! largest tree of the first sweep also gets a per-layer breakdown from
+//! the telemetry aggregator. `--quick` shrinks both sweeps for CI smoke
+//! runs.
 //!
 //! ```text
 //! cargo run -p agentgrid-bench --bin gridscale --release
@@ -39,13 +33,12 @@ use agentgrid_telemetry::json::{self, Value};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Everything the sweep records about one (topology, mode) run.
+/// Everything the sweep records about one topology's run.
 struct Row {
     topology: String,
     agents: usize,
     requests: usize,
-    fast: Option<Measured>,
-    baseline: Option<Measured>,
+    measured: Measured,
 }
 
 struct Measured {
@@ -131,7 +124,6 @@ fn histogram_json(h: &LogLinearHistogram) -> Value {
 fn main() {
     let (quick, seed) = agentgrid_bench::parse_args();
     let args: Vec<String> = std::env::args().collect();
-    let baseline_only = args.iter().any(|a| a == "--baseline");
     let out_path = args
         .iter()
         .position(|a| a == "--out")
@@ -149,9 +141,8 @@ fn main() {
     let branching = 4;
     let nproc = 8;
     let mut opts = RunOptions::fast();
-    // Shrink the GA below even the `fast` tuning: GA compute is identical
-    // in both modes, so any GA cycle spent only dilutes the ratio this
-    // bench exists to measure.
+    // Shrink the GA below even the `fast` tuning: any GA cycle spent
+    // only dilutes the grid-layer throughput this bench exists to measure.
     opts.ga = GaConfig {
         population: 8,
         generations_per_event: 4,
@@ -160,20 +151,15 @@ fn main() {
     };
 
     eprintln!(
-        "gridscale: 4-ary trees {:?} levels, {} requests/agent, seed {}{}{}",
+        "gridscale: 4-ary trees {:?} levels, {} requests/agent, seed {}{}",
         shapes,
         per_agent,
         seed,
         if quick { " (quick)" } else { "" },
-        if baseline_only {
-            " (baseline only)"
-        } else {
-            ""
-        }
     );
     println!(
-        "{:<10}{:>8}{:>10}{:>12}{:>12}{:>14}{:>14}{:>9}",
-        "grid", "agents", "requests", "wall", "base wall", "events/s", "base ev/s", "speedup"
+        "{:<10}{:>8}{:>10}{:>12}{:>14}",
+        "grid", "agents", "requests", "wall", "events/s"
     );
 
     let mut rows: Vec<Row> = Vec::new();
@@ -181,44 +167,20 @@ fn main() {
         let topology = GridTopology::tree(levels, branching, nproc);
         let agents = topology.resources.len();
         let workload = shape_workload(&topology, per_agent, SimDuration::from_secs(1), seed);
-        let mut row = Row {
+        let run = run_grid(&topology, &workload, &opts, false);
+        let row = Row {
             topology: format!("{levels}lv x{branching}"),
             agents,
             requests: workload.requests,
-            fast: None,
-            baseline: None,
+            measured: measure(&run, &topology),
         };
-
-        if !baseline_only {
-            let run = run_grid(&topology, &workload, &opts, false, false);
-            row.fast = Some(measure(&run, &topology));
-        }
-        let run = run_grid(&topology, &workload, &opts, false, true);
-        row.baseline = Some(measure(&run, &topology));
-
-        // Determinism gate: the rework must not change a single
-        // simulation outcome, only the wall time spent reaching it.
-        if let (Some(fast), Some(base)) = (&row.fast, &row.baseline) {
-            assert_same_outcomes(&row.topology, fast, base);
-        }
-
-        let speedup = match (&row.fast, &row.baseline) {
-            (Some(f), Some(b)) => f.events_per_sec / b.events_per_sec.max(1e-9),
-            _ => 1.0,
-        };
-        let base = row.baseline.as_ref().expect("baseline always runs");
         println!(
-            "{:<10}{:>8}{:>10}{:>12}{:>12}{:>14.0}{:>14.0}{:>8.2}x",
+            "{:<10}{:>8}{:>10}{:>12}{:>14.0}",
             row.topology,
             agents,
             row.requests,
-            row.fast
-                .as_ref()
-                .map_or_else(|| "-".into(), |f| format!("{:.2?}", f.wall)),
-            format!("{:.2?}", base.wall),
-            row.fast.as_ref().map_or(0.0, |f| f.events_per_sec),
-            base.events_per_sec,
-            speedup,
+            format!("{:.2?}", row.measured.wall),
+            row.measured.events_per_sec,
         );
         rows.push(row);
     }
@@ -233,9 +195,7 @@ fn main() {
     // thousands of sim-seconds), so the 21 845-agent shape pulls on a
     // 60 s period: at 10 s it would process a quarter-billion pull
     // events per run, all measuring the same code path.
-    let shard_shapes: &[(u32, usize, f64, u64)] = if baseline_only {
-        &[]
-    } else if quick {
+    let shard_shapes: &[(u32, usize, f64, u64)] = if quick {
         &[(4, 4, 0.1, 10)] // 85 agents, 340 requests
     } else {
         // 5 461 agents x 8 = 43 688 and 21 845 agents x 48 = 1 048 560.
@@ -339,16 +299,14 @@ fn main() {
 
     // Per-layer breakdown of the largest shape via the telemetry
     // aggregator (a separate run: the recorder itself costs time).
-    let breakdown = if baseline_only {
-        Value::Null
-    } else {
+    let breakdown = {
         let levels = *shapes.last().expect("non-empty sweep");
         let topology = GridTopology::tree(levels, branching, nproc);
         let workload = shape_workload(&topology, per_agent, SimDuration::from_secs(1), seed);
         let recorder = Arc::new(AggregateRecorder::new());
         let mut traced = opts.clone();
         traced.telemetry = Telemetry::new(recorder.clone());
-        let run = run_grid(&topology, &workload, &traced, false, false);
+        let run = run_grid(&topology, &workload, &traced, false);
         traced.telemetry.flush();
         let agg = recorder.snapshot();
         eprintln!(
@@ -395,10 +353,8 @@ fn main() {
         (
             "description",
             json::s(
-                "experiment-3 runs over complete 4-ary agent trees; 'fast' = interned ids, \
-                 incremental bookkeeping and the timing-wheel queue, 'baseline' = the \
-                 pre-rework string-keyed scans and binary-heap queue; both modes produce \
-                 bit-identical simulation outcomes (asserted)",
+                "experiment-3 runs over complete 4-ary agent trees: interned ids, \
+                 incremental bookkeeping and the timing-wheel queue",
             ),
         ),
         (
@@ -418,24 +374,12 @@ fn main() {
             Value::Arr(
                 rows.iter()
                     .map(|row| {
-                        let mut fields = vec![
+                        json::obj(vec![
                             ("topology", json::s(row.topology.clone())),
                             ("agents", json::num(row.agents as f64)),
                             ("requests", json::num(row.requests as f64)),
-                        ];
-                        if let Some(f) = &row.fast {
-                            fields.push(("fast", measured_json(f)));
-                        }
-                        if let Some(b) = &row.baseline {
-                            fields.push(("baseline", measured_json(b)));
-                        }
-                        if let (Some(f), Some(b)) = (&row.fast, &row.baseline) {
-                            fields.push((
-                                "speedup_events_per_sec",
-                                json::num(f.events_per_sec / b.events_per_sec.max(1e-9)),
-                            ));
-                        }
-                        json::obj(fields)
+                            ("measured", measured_json(&row.measured)),
+                        ])
                     })
                     .collect(),
             ),

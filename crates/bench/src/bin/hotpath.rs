@@ -1,37 +1,24 @@
 //! GA hot-path benchmark: wall time per `evolve` call across the
 //! paper's 12-resource case-study grid.
 //!
-//! Ablation ladder, oldest mechanics first:
+//! * `1t`               — the single-population GA on one thread.
+//! * `islands-{2,4,8}t` — the deterministic island model, with as many
+//!   threads as islands so every island evolves concurrently.
 //!
-//! * `baseline`   — the pre-optimisation path: fresh allocations per
-//!   decode (`reuse_scratch = false`), every cache hit through the locked
-//!   map (`CachedEngine::without_fast_table`), full re-decode per child.
-//! * `pr2-1t`     — the scratch + lock-free fast-table path (the previous
-//!   perf PR), still full re-decode per child. This is the reference for
-//!   the `speedup_vs_pr2` column.
-//! * `delta-1t`   — adds delta fitness: children resume decoding from the
-//!   first position where they diverge from their parent.
-//! * `islands-{2,4,8}t` — delta plus the deterministic island model, with
-//!   as many threads as islands so every island evolves concurrently.
-//!
-//! Configurations with `islands = 1` must produce bit-identical best
-//! costs — the bench asserts it — so those rows compare *only* the
-//! mechanics. Island rows legitimately change the search (a different,
-//! partitioned evolution), so they are instead asserted bit-identical
-//! across thread counts: the island count chooses the result, the thread
-//! count never does.
+//! Island rows legitimately change the search (a different, partitioned
+//! evolution), so their costs differ from the `1t` row's. Every row is
+//! instead asserted bit-identical across thread counts: the island count
+//! chooses the result, the thread count never does. A second section
+//! times the fitness-evaluation path alone (decode + cost) and asserts it
+//! agrees bit for bit with the engine-backed `decode` + `ScheduleCost::of`.
 //!
 //! Writes `BENCH_hotpath.json` (override with `--out PATH`); `--quick`
 //! shrinks the workload for CI smoke runs. The JSON records the host's
-//! available parallelism: on a single-core runner the thread-scaling
-//! rows are expected to stay flat and the honest speedup signal is the
-//! single-thread ladder (`baseline` → `pr2-1t` → `delta-1t`).
+//! available parallelism: on a single-core runner the island rows are
+//! expected to stay flat.
 
 use agentgrid::prelude::*;
-use agentgrid_scheduler::decode::{
-    decode_into, evaluate_delta, DecodeMemo, DecodeScratch, DecodedSchedule, EvalContext,
-    Placement, ResourceView,
-};
+use agentgrid_scheduler::decode::{decode, DecodeScratch, EvalContext, ResourceView};
 use agentgrid_scheduler::{CostWeights, ScheduleCost, Solution};
 use agentgrid_telemetry::json::{self, Value};
 use std::sync::Arc;
@@ -41,59 +28,28 @@ struct Config {
     label: &'static str,
     threads: usize,
     islands: usize,
-    delta: bool,
-    reuse_scratch: bool,
-    fast_table: bool,
 }
 
 const CONFIGS: &[Config] = &[
     Config {
-        label: "baseline",
+        label: "1t",
         threads: 1,
         islands: 1,
-        delta: false,
-        reuse_scratch: false,
-        fast_table: false,
-    },
-    Config {
-        label: "pr2-1t",
-        threads: 1,
-        islands: 1,
-        delta: false,
-        reuse_scratch: true,
-        fast_table: true,
-    },
-    Config {
-        label: "delta-1t",
-        threads: 1,
-        islands: 1,
-        delta: true,
-        reuse_scratch: true,
-        fast_table: true,
     },
     Config {
         label: "islands-2t",
         threads: 2,
         islands: 2,
-        delta: true,
-        reuse_scratch: true,
-        fast_table: true,
     },
     Config {
         label: "islands-4t",
         threads: 4,
         islands: 4,
-        delta: true,
-        reuse_scratch: true,
-        fast_table: true,
     },
     Config {
         label: "islands-8t",
         threads: 8,
         islands: 8,
-        delta: true,
-        reuse_scratch: true,
-        fast_table: true,
     },
 ];
 
@@ -126,9 +82,6 @@ struct Row {
     label: &'static str,
     threads: usize,
     islands: usize,
-    delta: bool,
-    reuse_scratch: bool,
-    fast_table: bool,
     samples: usize,
     p50_us: f64,
     p90_us: f64,
@@ -144,8 +97,6 @@ fn ga_config(config: &Config, population: usize, generations: usize, threads: us
         stall_generations: generations,
         threads,
         islands: config.islands,
-        delta: config.delta,
-        reuse_scratch: config.reuse_scratch,
         ..GaConfig::default()
     }
 }
@@ -158,11 +109,7 @@ fn measure(
     iters: usize,
     seed: u64,
 ) -> Row {
-    let engine = if config.fast_table {
-        CachedEngine::new()
-    } else {
-        CachedEngine::new().without_fast_table()
-    };
+    let engine = CachedEngine::new();
     let ga = ga_config(config, population, generations, config.threads);
     let mut samples = Vec::with_capacity(iters * resources.len());
     let mut cost_bits = vec![0u64; resources.len()];
@@ -187,9 +134,6 @@ fn measure(
         label: config.label,
         threads: config.threads,
         islands: config.islands,
-        delta: config.delta,
-        reuse_scratch: config.reuse_scratch,
-        fast_table: config.fast_table,
         samples: samples.len(),
         p50_us: percentile(&samples, 0.50),
         p90_us: percentile(&samples, 0.90),
@@ -199,7 +143,7 @@ fn measure(
 }
 
 /// One untimed evolve per resource at an arbitrary thread count — the
-/// cheap probe behind the islands-vs-threads determinism gate.
+/// cheap probe behind the thread-invariance gate.
 fn cost_bits_at(
     config: &Config,
     threads: usize,
@@ -208,11 +152,7 @@ fn cost_bits_at(
     generations: usize,
     seed: u64,
 ) -> Vec<u64> {
-    let engine = if config.fast_table {
-        CachedEngine::new()
-    } else {
-        CachedEngine::new().without_fast_table()
-    };
+    let engine = CachedEngine::new();
     let ga = ga_config(config, population, generations, threads);
     resources
         .iter()
@@ -224,167 +164,69 @@ fn cost_bits_at(
         .collect()
 }
 
-/// Verbatim re-implementation of the decode loop as of the PR base
-/// commit: fresh `Vec`s per call and an unconditional tick→seconds
-/// conversion per node visit. Kept here (against the same public APIs)
-/// so the evaluation-path comparison below measures the old mechanics
-/// inside the same binary. Bit-identical results to [`decode_into`].
-fn seed_decode(
-    view: &ResourceView,
-    tasks: &[Task],
-    solution: &Solution,
-    engine: &CachedEngine,
-) -> DecodedSchedule {
-    let mut node_free = view.node_free.clone();
-    let mut placements = Vec::with_capacity(solution.len());
-    let mut idle_pockets = Vec::new();
-    let mut makespan = view.now;
-    let mut lateness_s = 0.0;
-    let mut missed = 0usize;
-    let mut alloc_node_s = 0.0;
-
-    for (p, &task_idx) in solution.order.iter().enumerate() {
-        let task = &tasks[task_idx];
-        let mask = solution.mapping[p]
-            .and(view.available)
-            .ensure_nonempty(view.fallback_node());
-        let start = mask
-            .iter()
-            .map(|i| node_free[i])
-            .fold(view.now, SimTime::max);
-        let exec_s = engine.evaluate(&task.app, &view.model, mask.count());
-        let completion = start + SimDuration::from_secs_f64(exec_s);
-        alloc_node_s += mask.count() as f64 * exec_s;
-        for i in mask.iter() {
-            let gap = start.saturating_since(node_free[i]).as_secs_f64();
-            if gap > 0.0 {
-                let offset = node_free[i].saturating_since(view.now).as_secs_f64();
-                idle_pockets.push((offset, gap));
-            }
-            node_free[i] = completion;
-        }
-        if completion > task.deadline {
-            lateness_s += completion.saturating_since(task.deadline).as_secs_f64();
-            missed += 1;
-        }
-        makespan = makespan.max(completion);
-        placements.push(Placement {
-            task: task_idx,
-            mask,
-            start,
-            completion,
-        });
-    }
-
-    DecodedSchedule {
-        makespan,
-        makespan_rel_s: makespan.saturating_since(view.now).as_secs_f64(),
-        idle_pockets,
-        lateness_s,
-        missed_deadlines: missed,
-        alloc_node_s,
-        placements,
-    }
-}
-
+/// Nanoseconds per evaluation and evaluations per second of the GA's
+/// fitness path.
 struct EvalPath {
-    label: &'static str,
     ns_per_eval: f64,
     evals_per_sec: f64,
 }
 
-/// Measure the fitness-evaluation path alone — the tentpole's target —
-/// over a fixed population, excluding the (by-design sequential) GA
-/// operators. `seed-eval` is the base-commit mechanics; `opt-eval` is
-/// the scratch + fast-table path; `soa-eval` is the context-backed
-/// structure-of-arrays kernel (pre-resolved exec-time table, columnar
-/// idle pockets) that delta evaluation decodes through. Asserts all
-/// paths produce identical cost bits for every solution.
-fn measure_eval_paths(
+/// Measure the fitness-evaluation path alone — decode through the
+/// per-evolve [`EvalContext`] into a reused scratch, then score — over a
+/// fixed population, excluding the (by-design sequential) GA operators.
+/// Asserts every cost is bit-identical to the engine-backed `decode` +
+/// `ScheduleCost::of`.
+fn measure_eval_path(
     resources: &[(GridResource, Vec<Task>)],
     population: usize,
     rounds: usize,
     seed: u64,
-) -> Vec<EvalPath> {
+) -> EvalPath {
     let weights = CostWeights::default();
-    let mut out = Vec::new();
-    let mut reference: Vec<Vec<u64>> = Vec::new();
-
-    for pass in 0..3 {
-        let engine = if pass == 0 {
-            CachedEngine::new().without_fast_table()
-        } else {
-            CachedEngine::new()
-        };
-        let mut evals = 0usize;
-        let mut elapsed_s = 0.0;
-        // `derive` is pure in the base seed, so all passes draw the
-        // exact same populations.
-        let mut rng_pass = RngStream::root(seed).derive("hotpath-eval");
-        for (ri, (resource, tasks)) in resources.iter().enumerate() {
-            let view = ResourceView::snapshot(resource, SimTime::ZERO).expect("all nodes up");
-            let nproc = view.model.nproc;
-            let sols: Vec<Solution> = (0..population)
-                .map(|_| Solution::random(tasks.len(), nproc, &mut rng_pass))
-                .collect();
-            let mut scratch = DecodeScratch::default();
-            let mut memo = DecodeMemo::default();
-            let ctx = EvalContext::build(&view, tasks, &engine);
-            let mut bits = vec![0u64; sols.len()];
-            // Warm the cache outside the timed region, as in steady state.
-            for sol in &sols {
-                seed_decode(&view, tasks, sol, &engine);
-            }
-            let t = Instant::now();
-            for _ in 0..rounds {
-                for (sol, slot) in sols.iter().zip(bits.iter_mut()) {
-                    let cost = match pass {
-                        0 => {
-                            let d = seed_decode(&view, tasks, sol, &engine);
-                            ScheduleCost::of(&d, &weights).combined(&weights)
-                        }
-                        1 => {
-                            let s = decode_into(&view, tasks, sol, &engine, &mut scratch);
-                            ScheduleCost::of_parts(
-                                s.makespan_rel_s,
-                                &scratch.idle_pockets,
-                                s.lateness_s,
-                                s.alloc_node_s,
-                                &weights,
-                            )
-                            .combined(&weights)
-                        }
-                        _ => evaluate_delta(
-                            &view,
-                            &ctx,
-                            sol,
-                            None,
-                            &mut memo,
-                            &mut scratch,
-                            &weights,
-                        ),
-                    };
-                    *slot = cost.to_bits();
-                }
-            }
-            elapsed_s += t.elapsed().as_secs_f64();
-            evals += rounds * sols.len();
-            if pass == 0 {
-                reference.push(bits);
-            } else {
-                assert_eq!(
-                    bits, reference[ri],
-                    "evaluation paths diverged on resource {ri}"
-                );
+    let engine = CachedEngine::new();
+    let mut evals = 0usize;
+    let mut elapsed_s = 0.0;
+    let mut rng = RngStream::root(seed).derive("hotpath-eval");
+    for (ri, (resource, tasks)) in resources.iter().enumerate() {
+        let view = ResourceView::snapshot(resource, SimTime::ZERO).expect("all nodes up");
+        let nproc = view.model.nproc;
+        let sols: Vec<Solution> = (0..population)
+            .map(|_| Solution::random(tasks.len(), nproc, &mut rng))
+            .collect();
+        let ctx = EvalContext::build(&view, tasks, &engine);
+        let mut scratch = DecodeScratch::default();
+        let mut bits = vec![0u64; sols.len()];
+        let t = Instant::now();
+        for _ in 0..rounds {
+            for (sol, slot) in sols.iter().zip(bits.iter_mut()) {
+                let s = ctx.decode_into(&view, sol, &mut scratch);
+                let cost = ScheduleCost::of_parts(
+                    s.makespan_rel_s,
+                    &scratch.idle_pockets,
+                    s.lateness_s,
+                    s.alloc_node_s,
+                    &weights,
+                )
+                .combined(&weights);
+                *slot = cost.to_bits();
             }
         }
-        out.push(EvalPath {
-            label: ["seed-eval", "opt-eval", "soa-eval"][pass],
-            ns_per_eval: elapsed_s * 1e9 / evals as f64,
-            evals_per_sec: evals as f64 / elapsed_s,
-        });
+        elapsed_s += t.elapsed().as_secs_f64();
+        evals += rounds * sols.len();
+        for (sol, got) in sols.iter().zip(&bits) {
+            let d = decode(&view, tasks, sol, &engine);
+            let want = ScheduleCost::of(&d, &weights).combined(&weights);
+            assert_eq!(
+                *got,
+                want.to_bits(),
+                "evaluation path diverged from the engine-backed decode on resource {ri}"
+            );
+        }
     }
-    out
+    EvalPath {
+        ns_per_eval: elapsed_s * 1e9 / evals as f64,
+        evals_per_sec: evals as f64 / elapsed_s,
+    }
 }
 
 fn main() {
@@ -438,25 +280,14 @@ fn main() {
         })
         .collect();
 
-    // Determinism gate 1: every islands=1 configuration must find the
-    // same best schedule cost on every resource, bit for bit — delta
-    // and the scratch/fast-table mechanics never change a decision.
-    for row in rows.iter().filter(|r| r.islands == 1).skip(1) {
-        assert_eq!(
-            row.cost_bits, rows[0].cost_bits,
-            "{} diverged from {}: the hot path changed a scheduling decision",
-            row.label, rows[0].label
-        );
-    }
-    // Determinism gate 2: island rows are a different (partitioned)
-    // search, so they are instead pinned across thread counts — the
+    // Determinism gate: each row is pinned across thread counts — the
     // same island count must replay the same evolution at any
     // `--ga-threads`.
     for (config, row) in CONFIGS.iter().zip(&rows) {
-        if row.islands == 1 {
-            continue;
-        }
         for probe_threads in [1usize, 3] {
+            if probe_threads == row.threads {
+                continue;
+            }
             let bits = cost_bits_at(
                 config,
                 probe_threads,
@@ -472,37 +303,27 @@ fn main() {
             );
         }
     }
-    eprintln!("  determinism: islands=1 rows agree bit-for-bit; island rows thread-invariant");
+    eprintln!("  determinism: every row thread-invariant");
 
     let eval_rounds = if quick { 5 } else { 40 };
-    let eval_paths = measure_eval_paths(&resources, population, eval_rounds, seed);
-    for p in &eval_paths {
-        eprintln!(
-            "  {:<11} {:>8.1} ns/eval  ({:.2}M evals/s)",
-            p.label,
-            p.ns_per_eval,
-            p.evals_per_sec / 1e6
-        );
-    }
+    let eval = measure_eval_path(&resources, population, eval_rounds, seed);
+    eprintln!(
+        "  {:<11} {:>8.1} ns/eval  ({:.2}M evals/s)",
+        "eval",
+        eval.ns_per_eval,
+        eval.evals_per_sec / 1e6
+    );
 
-    let baseline_p50 = rows[0].p50_us;
-    let pr2_p50 = rows
-        .iter()
-        .find(|r| r.label == "pr2-1t")
-        .expect("pr2 reference row")
-        .p50_us;
-    let seed_ns = eval_paths[0].ns_per_eval;
+    let single_p50 = rows[0].p50_us;
     let parallelism = std::thread::available_parallelism().map_or(0, usize::from);
     let doc = json::obj(vec![
         ("bench", json::s("hotpath")),
         (
             "description",
             json::s(
-                "wall time per GaScheduler::evolve call; baseline = the pre-optimisation \
-                 path (fresh allocations, locked-map cache hits, full re-decode); pr2-1t = \
-                 the previous perf PR's scratch + fast-table path and the reference for \
-                 speedup_vs_pr2; delta/island rows add incremental fitness repair and the \
-                 deterministic island model",
+                "wall time per GaScheduler::evolve call; 1t = the single-population GA on \
+                 one thread and the reference for speedup_vs_1t; island rows run the \
+                 deterministic island model with one thread per island",
             ),
         ),
         (
@@ -527,8 +348,7 @@ fn main() {
                     json::s(
                         "island rows only show wall-clock gains when available_parallelism \
                          > 1; on a single-core host they stay flat (or pay a small spawn \
-                         tax) and the honest speedup signal is the single-thread ladder \
-                         baseline -> pr2-1t -> delta-1t plus the soa-eval kernel row",
+                         tax)",
                     ),
                 ),
             ]),
@@ -542,15 +362,11 @@ fn main() {
                             ("label", json::s(r.label)),
                             ("threads", json::num(r.threads as f64)),
                             ("islands", json::num(r.islands as f64)),
-                            ("delta", Value::Bool(r.delta)),
-                            ("reuse_scratch", Value::Bool(r.reuse_scratch)),
-                            ("fast_table", Value::Bool(r.fast_table)),
                             ("samples", json::num(r.samples as f64)),
                             ("p50_us", json::num(r.p50_us)),
                             ("p90_us", json::num(r.p90_us)),
                             ("mean_us", json::num(r.mean_us)),
-                            ("speedup_vs_baseline", json::num(baseline_p50 / r.p50_us)),
-                            ("speedup_vs_pr2", json::num(pr2_p50 / r.p50_us)),
+                            ("speedup_vs_1t", json::num(single_p50 / r.p50_us)),
                         ])
                     })
                     .collect(),
@@ -562,43 +378,33 @@ fn main() {
                 (
                     "description",
                     json::s(
-                        "the fitness-evaluation path alone (decode + cost + cache lookups), \
-                         excluding the by-design sequential GA operators; seed-eval re-runs \
-                         the PR base commit's mechanics inside this binary; soa-eval is the \
-                         context-backed structure-of-arrays kernel used by delta evaluation",
+                        "the GA's fitness-evaluation path alone (decode through the \
+                         per-evolve prediction table + cost), excluding the by-design \
+                         sequential GA operators",
                     ),
                 ),
                 (
                     "rows",
-                    Value::Arr(
-                        eval_paths
-                            .iter()
-                            .map(|p| {
-                                json::obj(vec![
-                                    ("label", json::s(p.label)),
-                                    ("ns_per_eval", json::num(p.ns_per_eval)),
-                                    ("evals_per_sec", json::num(p.evals_per_sec)),
-                                    ("speedup_vs_seed", json::num(seed_ns / p.ns_per_eval)),
-                                ])
-                            })
-                            .collect(),
-                    ),
+                    Value::Arr(vec![json::obj(vec![
+                        ("label", json::s("eval")),
+                        ("ns_per_eval", json::num(eval.ns_per_eval)),
+                        ("evals_per_sec", json::num(eval.evals_per_sec)),
+                    ])]),
                 ),
             ]),
         ),
-        ("deterministic_across_configs", Value::Bool(true)),
+        ("thread_invariant", Value::Bool(true)),
     ]);
     std::fs::write(&out_path, doc.to_pretty()).expect("write bench output");
     eprintln!("wrote {out_path}");
     for row in &rows {
         println!(
-            "{:<11} threads={} islands={} p50={:.1}us speedup={:.2}x vs_pr2={:.2}x",
+            "{:<11} threads={} islands={} p50={:.1}us vs_1t={:.2}x",
             row.label,
             row.threads,
             row.islands,
             row.p50_us,
-            baseline_p50 / row.p50_us,
-            pr2_p50 / row.p50_us
+            single_p50 / row.p50_us
         );
     }
 }

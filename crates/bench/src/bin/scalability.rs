@@ -48,7 +48,7 @@ fn main() {
                 RunOptions::paper()
             };
 
-            let run = run_grid(&topology, &workload, &opts, gossip, false);
+            let run = run_grid(&topology, &workload, &opts, gossip);
             let (advance, utilisation, balance) = grid_totals(&run.grid, &topology);
             let placed = workload.requests - run.grid.rejected();
             println!(

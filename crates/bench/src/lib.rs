@@ -1,7 +1,6 @@
 //! Shared plumbing for the experiment binaries and Criterion benches.
 
 use agentgrid::prelude::*;
-use agentgrid_sim::EventQueue;
 use std::time::{Duration, Instant};
 
 /// The paper's full case-study run: twelve 16-node resources, 600
@@ -42,18 +41,11 @@ impl GridRun {
 
 /// Run experiment 3 (GA + agent discovery) over a topology and workload
 /// until the event queue drains.
-///
-/// `baseline` restores the pre-rework grid paths — the binary-heap event
-/// queue instead of the timing wheel, full-grid scans instead of the
-/// incremental counters, and per-call service-info formatting instead of
-/// cached templates — so before/after comparisons measure real work on
-/// both sides (`gridscale` reports the ratio).
 pub fn run_grid(
     topology: &GridTopology,
     workload: &WorkloadConfig,
     opts: &RunOptions,
     gossip: bool,
-    baseline: bool,
 ) -> GridRun {
     let design = ExperimentDesign::experiment3();
     let mut config = GridConfig::new(design.local_policy, design.agents_enabled, workload.seed);
@@ -63,12 +55,7 @@ pub fn run_grid(
     config.failure_policy = opts.failure_policy;
     config.chaos = opts.chaos.clone();
     let mut grid = GridSystem::new(topology, &opts.catalog, &config);
-    grid.set_baseline_bookkeeping(baseline);
-    let mut sim = if baseline {
-        Simulation::with_queue(EventQueue::heap())
-    } else {
-        Simulation::new()
-    };
+    let mut sim = Simulation::new();
     sim.set_telemetry(opts.telemetry.clone());
     let requests = workload.generate(&opts.catalog);
     let n_requests = requests.len();

@@ -27,10 +27,6 @@
 //! * Per-resource [`ServiceInfo`] is templated once at construction; a
 //!   pull clones the template (a few `Arc` bumps) and stamps the live
 //!   freetime instead of re-`format!`ing hostnames.
-//!
-//! [`GridSystem::set_baseline_bookkeeping`] restores the legacy
-//! scan-per-event behaviour for benchmark comparison (`gridscale
-//! --baseline`); results are identical either way, only the cost moves.
 
 use agentgrid_agents::{
     AdvertisementStrategy, Agent, DiscoveryDecision, Endpoint, FailurePolicy, Hierarchy,
@@ -371,9 +367,6 @@ pub struct GridSystem {
     /// Per-resource Fig. 5 documents with freetime left at zero; cloned
     /// (Arc bumps) and stamped per advertisement.
     service_templates: Vec<ServiceInfo>,
-    /// Legacy bookkeeping for benchmarking: O(R) scans per event and
-    /// re-formatted service info, exactly as before the §9 rework.
-    baseline: bool,
     /// Set once a scheduler is handed out mutably: incremental counters
     /// can no longer be trusted, so the metric accessors fall back to
     /// the scans (failure-injection tests mutate schedulers directly).
@@ -592,7 +585,6 @@ impl GridSystem {
             discovery_hops: 0,
             scratch_neighbours: Vec::new(),
             service_templates,
-            baseline: false,
             external_mutation: false,
             failure_policy: config.failure_policy,
             chaos,
@@ -612,18 +604,9 @@ impl GridSystem {
         self.monitor_polls_enabled = true;
     }
 
-    /// Restore the pre-§9 bookkeeping — O(resources) `work_remains`/
-    /// `horizon`/`migrations` scans and per-advertisement `format!`-built
-    /// service info — for benchmark comparison. Results are identical;
-    /// only the cost profile changes.
-    pub fn set_baseline_bookkeeping(&mut self, on: bool) {
-        self.baseline = on;
-    }
-
     /// Record a trace event attributed to `who`, with the detail string
-    /// built by `detail` against the shared name table. In normal mode
-    /// the closure runs only when the trace is enabled; in baseline mode
-    /// it runs eagerly, reproducing the legacy per-event formatting cost.
+    /// built by `detail` against the shared name table. The closure runs
+    /// only when the trace is enabled.
     fn trace_at(
         &mut self,
         at: SimTime,
@@ -631,15 +614,9 @@ impl GridSystem {
         who: ResourceId,
         detail: impl FnOnce(&NameTable) -> String,
     ) {
-        if self.baseline {
-            let detail = detail(&self.names);
-            let who = self.names.name_arc(who);
-            self.trace.record(at, kind, &who, detail);
-        } else {
-            let names = &self.names;
-            self.trace
-                .record_with(at, kind, || (names.name(who).to_string(), detail(names)));
-        }
+        let names = &self.names;
+        self.trace
+            .record_with(at, kind, || (names.name(who).to_string(), detail(names)));
     }
 
     /// Load the workload and schedule all bootstrap events: one
@@ -1000,8 +977,7 @@ impl GridSystem {
     /// `freetime`, its own neighbour list) and writes only its own
     /// agent's ACT plus the batch-summable pull counter. Chaos can drop
     /// or delay individual messages, gossip copies neighbour ACTs
-    /// mid-batch, the legacy baseline re-formats shared state, external
-    /// mutation invalidates templates, and tracing interleaves log
+    /// mid-batch, external mutation invalidates templates, and tracing interleaves log
     /// lines — any of those forces the sequential path.
     pub fn pull_batching_eligible(&self) -> bool {
         matches!(
@@ -1009,7 +985,6 @@ impl GridSystem {
             AdvertisementStrategy::PeriodicPull { .. }
         ) && self.chaos.is_none()
             && !self.gossip
-            && !self.baseline
             && !self.external_mutation
             && !self.trace.is_enabled()
     }
@@ -1719,10 +1694,10 @@ impl GridSystem {
     /// Live service information of one resource (Fig. 5 content), by id:
     /// template clone + live freetime on the fast path.
     pub fn service_info_id(&self, id: ResourceId, now: SimTime) -> ServiceInfo {
-        if self.baseline || self.external_mutation {
-            // Legacy path: rebuild the document from the scheduler (also
-            // the correct path once a scheduler was mutated externally —
-            // e.g. its supported environments may have changed).
+        if self.external_mutation {
+            // Rebuild the document from the scheduler: once a scheduler
+            // was mutated externally its template may be stale (e.g. its
+            // supported environments may have changed).
             return self.build_service_info(id, now);
         }
         let mut info = self.service_templates[id.index()].clone();
@@ -1751,14 +1726,14 @@ impl GridSystem {
     /// Whether any requests are outstanding or any scheduler still has
     /// queued/running work (periodic events stop rescheduling once this
     /// turns false, which ends the run). O(1) via the active-task
-    /// counter; falls back to the queue scan under baseline bookkeeping
-    /// or after external scheduler mutation.
+    /// counter; falls back to the queue scan after external scheduler
+    /// mutation.
     pub fn work_remains(&self) -> bool {
         // Under chaos a request can be outstanding with every scheduler
         // queue empty (lost in a crash, waiting out a retry backoff) —
         // the periodic chains must survive such gaps.
         let chaos_outstanding = self.chaos.as_ref().is_some_and(|c| c.outstanding > 0);
-        if self.baseline || self.external_mutation {
+        if self.external_mutation {
             return self.remaining_requests > 0 || chaos_outstanding || self.scan_work_remains();
         }
         debug_assert_eq!(
@@ -1820,9 +1795,9 @@ impl GridSystem {
 
     /// The latest completion instant across the grid (the observation
     /// horizon for metrics); zero when nothing ran. O(1) via a running
-    /// max except under baseline/external-mutation modes.
+    /// max except after external scheduler mutation.
     pub fn horizon(&self) -> SimTime {
-        if self.baseline || self.external_mutation {
+        if self.external_mutation {
             return self.scan_horizon();
         }
         debug_assert_eq!(
@@ -1842,9 +1817,9 @@ impl GridSystem {
 
     /// Tasks that executed on a different resource than the agent they
     /// were submitted to (the agent layer's redistribution). O(1) via a
-    /// running counter except under baseline/external-mutation modes.
+    /// running counter except after external scheduler mutation.
     pub fn migrations(&self) -> usize {
-        if self.baseline || self.external_mutation {
+        if self.external_mutation {
             return self.scan_migrations();
         }
         debug_assert_eq!(
@@ -2064,7 +2039,7 @@ impl GridSystem {
 
     /// Tasks submitted to a scheduler and not yet completed.
     pub fn active_tasks(&self) -> usize {
-        if self.baseline || self.external_mutation {
+        if self.external_mutation {
             return self
                 .schedulers
                 .iter()

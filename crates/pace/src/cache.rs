@@ -139,10 +139,6 @@ pub struct CachedEngine {
     /// Shape of `fast` (derived from the catalogue/platform matrix when
     /// the caller knows it, default 64×8×32 otherwise).
     dims: FastTableDims,
-    /// When false every hit is served through the locked map instead of
-    /// the dense table. Results are bit-identical either way; the switch
-    /// exists so benchmarks can measure the pre-fast-table hit path.
-    fast_enabled: bool,
     /// Hits served through the locked map only; total hits are
     /// `slow_hits + fast_hits`, keeping the fast-hit path at a single
     /// atomic add.
@@ -185,7 +181,6 @@ impl CachedEngine {
                 .map(|_| AtomicU64::new(FAST_EMPTY))
                 .collect(),
             dims,
-            fast_enabled: true,
             slow_hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             fast_hits: AtomicU64::new(0),
@@ -197,15 +192,6 @@ impl CachedEngine {
     /// The dense fast-table shape in force.
     pub fn dims(&self) -> FastTableDims {
         self.dims
-    }
-
-    /// Disable the dense fast table, routing every warm hit through the
-    /// locked map. Predictions are bit-identical either way — only the
-    /// hit path changes — so this is purely an ablation knob for
-    /// benchmarking the pre-fast-table behaviour (`bench hotpath`).
-    pub fn without_fast_table(mut self) -> Self {
-        self.fast_enabled = false;
-        self
     }
 
     /// Update the simulated-time stamp used on telemetry events. Cheap
@@ -226,11 +212,7 @@ impl CachedEngine {
     pub fn evaluate(&self, app: &ApplicationModel, resource: &ResourceModel, nprocs: usize) -> f64 {
         let n = nprocs.clamp(1, resource.nproc);
         let key = (app.id.0, resource.platform.id, n as u32);
-        let slot = if self.fast_enabled {
-            self.dims.slot(key)
-        } else {
-            None
-        };
+        let slot = self.dims.slot(key);
         if let Some(s) = slot {
             let bits = self.fast[s].load(Ordering::Relaxed);
             if bits != FAST_EMPTY {
@@ -439,22 +421,6 @@ mod tests {
     }
 
     #[test]
-    fn fast_table_ablation_serves_identical_hits_from_the_map() {
-        let fast = CachedEngine::new();
-        let slow = CachedEngine::new().without_fast_table();
-        let a = app(1);
-        let r = resource();
-        for k in 1..=3 {
-            let t1 = fast.evaluate(&a, &r, k);
-            let t2 = slow.evaluate(&a, &r, k);
-            assert_eq!(t1.to_bits(), t2.to_bits());
-            assert_eq!(slow.evaluate(&a, &r, k).to_bits(), t2.to_bits());
-        }
-        assert_eq!(slow.stats().hits, 3);
-        assert_eq!(slow.stats().fast_hits, 0, "ablated hits bypass the table");
-    }
-
-    #[test]
     fn derived_dims_cover_the_declared_matrix() {
         let dims = FastTableDims::for_matrix(6, 4, 16);
         assert_eq!(
@@ -480,15 +446,17 @@ mod tests {
     #[test]
     fn beyond_derived_bounds_falls_back_to_the_map_not_reevaluation() {
         let c = CachedEngine::with_dims(Telemetry::disabled(), FastTableDims::for_matrix(1, 1, 4));
-        let wide = CachedEngine::new();
         let a = app(37); // beyond apps=2: no dense slot
         let r = resource();
         let t1 = c.evaluate(&a, &r, 2);
         for _ in 0..3 {
             assert_eq!(c.evaluate(&a, &r, 2).to_bits(), t1.to_bits());
         }
-        // Identical prediction to a generously sized table.
-        assert_eq!(wide.evaluate(&a, &r, 2).to_bits(), t1.to_bits());
+        // Identical prediction to the uncached engine.
+        assert_eq!(
+            PaceEngine::new().evaluate(&a, &r, 2).to_bits(),
+            t1.to_bits()
+        );
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.fast_hits), (3, 1, 0));
         assert_eq!(

@@ -102,41 +102,6 @@ impl ScheduleCost {
         }
     }
 
-    /// [`ScheduleCost::of_parts`] over a structure-of-arrays pocket store
-    /// (parallel `offsets`/`lengths` columns instead of `(f64, f64)`
-    /// pairs). The delta evaluator keeps pockets in two contiguous `f64`
-    /// columns so the weighting pass is a straight-line sweep the
-    /// autovectoriser can chew on; the map/sum runs the exact float
-    /// operations of `of_parts` in the same order, so the two layouts
-    /// produce bit-identical costs.
-    pub fn of_parts_soa(
-        makespan_rel_s: f64,
-        pocket_offsets: &[f64],
-        pocket_lengths: &[f64],
-        lateness_s: f64,
-        alloc_node_s: f64,
-        weights: &CostWeights,
-    ) -> ScheduleCost {
-        debug_assert_eq!(pocket_offsets.len(), pocket_lengths.len());
-        let horizon = makespan_rel_s.max(1e-9);
-        let ew = weights.idle_early_weight.max(1.0);
-        let weighted_idle_s = pocket_offsets
-            .iter()
-            .zip(pocket_lengths)
-            .map(|(offset, len)| {
-                let rel = (offset / horizon).clamp(0.0, 1.0);
-                let w = ew - (ew - 1.0) * rel;
-                w * len
-            })
-            .sum();
-        ScheduleCost {
-            makespan_s: makespan_rel_s,
-            weighted_idle_s,
-            lateness_s,
-            alloc_node_s,
-        }
-    }
-
     /// The combined cost value f꜀ of eq. 8 (plus the allocation term): the
     /// weighted mean of the ingredients. Lower is better.
     pub fn combined(&self, weights: &CostWeights) -> f64 {
@@ -261,18 +226,6 @@ mod tests {
         assert_eq!(scale_fitness(&[5.0, 5.0, 5.0]), vec![1.0, 1.0, 1.0]);
         assert!(scale_fitness(&[]).is_empty());
         assert_eq!(scale_fitness(&[7.0]), vec![1.0]);
-    }
-
-    #[test]
-    fn soa_pocket_layout_is_bit_identical_to_pairs() {
-        let w = CostWeights::default();
-        let pockets = [(0.0, 10.0), (37.5, 2.25), (90.0, 10.0), (99.9, 0.125)];
-        let offsets: Vec<f64> = pockets.iter().map(|(o, _)| *o).collect();
-        let lengths: Vec<f64> = pockets.iter().map(|(_, l)| *l).collect();
-        let aos = ScheduleCost::of_parts(100.0, &pockets, 3.5, 41.0, &w);
-        let soa = ScheduleCost::of_parts_soa(100.0, &offsets, &lengths, 3.5, 41.0, &w);
-        assert_eq!(aos.weighted_idle_s.to_bits(), soa.weighted_idle_s.to_bits());
-        assert_eq!(aos.combined(&w).to_bits(), soa.combined(&w).to_bits());
     }
 
     #[test]

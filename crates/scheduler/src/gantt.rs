@@ -11,68 +11,6 @@ use crate::task::CompletedTask;
 use agentgrid_cluster::NodeMask;
 use agentgrid_sim::SimTime;
 
-/// Per-position occupancy log of one decoded schedule: the effective
-/// (repaired) node mask and completion instant of every placement, in
-/// execution order. This is the minimal Gantt state the delta evaluator
-/// needs to *patch* a schedule instead of rebuilding it: replaying the
-/// first `k` steps over the initial per-node free times reconstructs the
-/// exact node-free ledger the full decoder would hold before placing
-/// position `k`, because a decode step's only effect on later positions
-/// is `node_free[i] = completion` for the nodes in its mask.
-#[derive(Clone, Debug, Default)]
-pub struct ScheduleLedger {
-    steps: Vec<(NodeMask, SimTime)>,
-}
-
-impl ScheduleLedger {
-    /// Drop all steps (reusing the allocation).
-    pub fn clear(&mut self) {
-        self.steps.clear();
-    }
-
-    /// Number of recorded placements.
-    pub fn len(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// True when no placement has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
-    }
-
-    /// Append one placement's occupancy effect.
-    #[inline]
-    pub fn push(&mut self, mask: NodeMask, completion: SimTime) {
-        self.steps.push((mask, completion));
-    }
-
-    /// The recorded `(mask, completion)` steps in execution order.
-    pub fn steps(&self) -> &[(NodeMask, SimTime)] {
-        &self.steps
-    }
-
-    /// Copy the first `upto` steps of `other` over this ledger's
-    /// contents (the shared prefix of a delta repair).
-    pub fn copy_prefix(&mut self, other: &ScheduleLedger, upto: usize) {
-        self.steps.clear();
-        self.steps.extend_from_slice(&other.steps[..upto]);
-    }
-
-    /// Reconstruct the per-node free times after the first `upto` steps,
-    /// starting from `initial` (the planning snapshot's clamped ledger).
-    /// `out` is cleared and refilled. Bit-identical to running the full
-    /// decoder over those positions: only integer `SimTime` stores.
-    pub fn replay_into(&self, upto: usize, initial: &[SimTime], out: &mut Vec<SimTime>) {
-        out.clear();
-        out.extend_from_slice(initial);
-        for &(mask, completion) in &self.steps[..upto] {
-            for i in mask.iter() {
-                out[i] = completion;
-            }
-        }
-    }
-}
-
 /// One bar of a Gantt chart.
 #[derive(Clone, Debug, PartialEq)]
 pub struct GanttBar {

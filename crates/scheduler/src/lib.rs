@@ -36,10 +36,10 @@ pub mod task;
 
 pub use batch::{BatchConfig, BatchPolicy};
 pub use cost::{CostWeights, ScheduleCost};
-pub use decode::{decode, evaluate_delta, DecodeMemo, DecodedSchedule, EvalContext, ResourceView};
+pub use decode::{decode, DecodedSchedule, EvalContext, ResourceView};
 pub use fifo::FifoPolicy;
 pub use ga::{GaConfig, GaScheduler};
-pub use gantt::{Gantt, GanttBar, ScheduleLedger};
+pub use gantt::{Gantt, GanttBar};
 pub use policy::{
     fifo_seed, AnnealingPolicy, HeuristicPolicy, HeuristicRule, LocalPolicy, PlanOutcome, SaConfig,
 };

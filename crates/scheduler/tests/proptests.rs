@@ -5,9 +5,7 @@ use agentgrid_pace::{
     AppId, ApplicationModel, CachedEngine, ModelCurve, Platform, ResourceModel, TabulatedModel,
 };
 use agentgrid_scheduler::cost::scale_fitness;
-use agentgrid_scheduler::decode::{
-    decode, evaluate_delta, DecodeMemo, DecodeScratch, EvalContext, ResourceView,
-};
+use agentgrid_scheduler::decode::{decode, DecodeScratch, EvalContext, ResourceView};
 use agentgrid_scheduler::fifo::{best_allocation, best_allocation_exhaustive};
 use agentgrid_scheduler::ga::ops::{crossover, mutate};
 use agentgrid_scheduler::ga::select::stochastic_remainder;
@@ -106,14 +104,13 @@ proptest! {
         prop_assert!((d.lateness_s - expected_late).abs() < 1e-6);
     }
 
-    /// Delta-repaired evaluation matches a from-scratch full decode bit
-    /// for bit across random mutation/crossover chains — the contract
-    /// the GA leans on every generation. Runs under the debug-build
-    /// cross-check inside `evaluate_delta`, so the memo internals
-    /// (prefix states, ledger replay, pocket columns) are verified on
-    /// every resumed step too, not just the final cost.
+    /// The GA's evaluation path — decode through the per-evolve
+    /// prediction table into a reused scratch, then score — matches the
+    /// engine-backed full decode bit for bit across random
+    /// mutation/crossover chains, with the scratch carried from step to
+    /// step exactly as a GA worker carries it.
     #[test]
-    fn delta_chain_matches_full_decode(
+    fn context_decode_matches_engine_decode(
         m in 1usize..16,
         nproc in 1usize..=8,
         seed in any::<u64>(),
@@ -140,15 +137,8 @@ proptest! {
         let mut scratch = DecodeScratch::default();
 
         let mut parent = Solution::random(m, nproc, &mut rng);
-        let mut parent_memo = DecodeMemo::default();
-        let mut child_memo = DecodeMemo::default();
-        evaluate_delta(&view, &ctx, &parent, None, &mut parent_memo, &mut scratch, &weights);
-
         for step in 0..steps {
-            // Alternate the GA's real variation operators so divergence
-            // points land everywhere: early (crossover tails), late
-            // (single bit flips), or nowhere (no-op mutations → the
-            // memoised d == m path).
+            // Alternate the GA's real variation operators.
             let child = if step % 3 == 2 {
                 let partner = Solution::random(m, nproc, &mut rng);
                 crossover(&parent, &partner, nproc, &mut rng).0
@@ -157,26 +147,19 @@ proptest! {
                 mutate(&mut c, nproc, order_rate, bit_rate, &mut rng);
                 c
             };
-            let got = evaluate_delta(
-                &view,
-                &ctx,
-                &child,
-                Some((&parent, &parent_memo)),
-                &mut child_memo,
-                &mut scratch,
-                &weights,
-            );
-            let d = decode(&view, &tasks, &child, &engine);
-            let want = ScheduleCost::of_parts(
-                d.makespan_rel_s,
-                &d.idle_pockets,
-                d.lateness_s,
-                d.alloc_node_s,
+            let s = ctx.decode_into(&view, &child, &mut scratch);
+            let got = ScheduleCost::of_parts(
+                s.makespan_rel_s,
+                &scratch.idle_pockets,
+                s.lateness_s,
+                s.alloc_node_s,
                 &weights,
             )
             .combined(&weights);
+            let d = decode(&view, &tasks, &child, &engine);
+            let want = ScheduleCost::of(&d, &weights).combined(&weights);
             prop_assert_eq!(got.to_bits(), want.to_bits(), "diverged at step {}", step);
-            std::mem::swap(&mut parent_memo, &mut child_memo);
+            prop_assert_eq!(&scratch.placements, &d.placements);
             parent = child;
         }
     }

@@ -5,20 +5,15 @@
 //! reproducible: the request arrivals, the 10-second advertisement ticks
 //! and the task completions interleave identically on every run.
 //!
-//! Two interchangeable backends sit behind the same API and deliver any
-//! schedule in exactly the same order (property-tested against each
-//! other in `tests/proptests.rs`):
-//!
-//! * [`EventQueue::heap`] — the classic binary min-heap. `O(log n)` per
-//!   operation, the reference implementation.
-//! * [`EventQueue::wheel`] (the default) — a hierarchical timing wheel:
-//!   seven levels of 64 slots, each level covering 64× the span of the
-//!   one below, with a one-word occupancy bitmap per level so advancing
-//!   the clock skips empty regions with bit scans instead of walking
-//!   ticks. Push is `O(1)`; pop cascades an entry through at most six
-//!   levels over its lifetime. Events beyond the wheel's ~51-day span
-//!   (and events pushed behind the current instant, which the engine
-//!   never does but the API tolerates) fall back to a small binary heap.
+//! The queue is a hierarchical timing wheel: seven levels of 64 slots,
+//! each level covering 64× the span of the one below, with a one-word
+//! occupancy bitmap per level so advancing the clock skips empty regions
+//! with bit scans instead of walking ticks. Push is `O(1)`; pop cascades
+//! an entry through at most six levels over its lifetime. Events beyond
+//! the wheel's ~51-day span (and events pushed behind the current
+//! instant, which the engine never does but the API tolerates) fall back
+//! to a small binary heap. The tests check it against a plain binary-heap
+//! model on `(time, seq)`, here and in `tests/proptests.rs`.
 //!
 //! Determinism argument for the wheel: delivery order is decided solely
 //! by sorting the drained tick's entries on their insertion sequence
@@ -33,13 +28,8 @@ use std::collections::BinaryHeap;
 
 /// A future-event list with stable FIFO tie-breaking.
 pub struct EventQueue<E> {
-    backend: Backend<E>,
+    wheel: WheelQueue<E>,
     next_seq: u64,
-}
-
-enum Backend<E> {
-    Heap(HeapQueue<E>),
-    Wheel(Box<WheelQueue<E>>),
 }
 
 impl<E> Default for EventQueue<E> {
@@ -49,23 +39,10 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// An empty queue on the default (timing-wheel) backend.
+    /// An empty queue.
     pub fn new() -> Self {
-        Self::wheel()
-    }
-
-    /// An empty queue backed by the hierarchical timing wheel.
-    pub fn wheel() -> Self {
         EventQueue {
-            backend: Backend::Wheel(Box::new(WheelQueue::new())),
-            next_seq: 0,
-        }
-    }
-
-    /// An empty queue backed by the reference binary heap.
-    pub fn heap() -> Self {
-        EventQueue {
-            backend: Backend::Heap(HeapQueue::new()),
+            wheel: WheelQueue::new(),
             next_seq: 0,
         }
     }
@@ -74,10 +51,7 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, at: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        match &mut self.backend {
-            Backend::Heap(h) => h.push(at, seq, event),
-            Backend::Wheel(w) => w.push(at, seq, event),
-        }
+        self.wheel.push(at, seq, event);
     }
 
     /// Re-insert an entry under its *original* sequence number without
@@ -92,16 +66,11 @@ impl<E> EventQueue<E> {
     /// sequence counter and unique among pending entries).
     pub fn push_at_seq(&mut self, at: SimTime, seq: u64, event: E) {
         debug_assert!(seq < self.next_seq, "push_at_seq requires a recycled seq");
-        match &mut self.backend {
-            Backend::Heap(h) => h.push(at, seq, event),
-            Backend::Wheel(w) => {
-                // A restored entry may sort before entries already staged
-                // for delivery; flush the staging buffer back into the
-                // wheel so the next pop re-sorts the full instant.
-                w.unstage();
-                w.push(at, seq, event);
-            }
-        }
+        // A restored entry may sort before entries already staged for
+        // delivery; flush the staging buffer back into the wheel so the
+        // next pop re-sorts the full instant.
+        self.wheel.unstage();
+        self.wheel.push(at, seq, event);
     }
 
     /// Remove and return the earliest event, if any.
@@ -113,30 +82,21 @@ impl<E> EventQueue<E> {
     /// number so it can be restored verbatim via
     /// [`EventQueue::push_at_seq`].
     pub fn pop_entry(&mut self) -> Option<(SimTime, u64, E)> {
-        match &mut self.backend {
-            Backend::Heap(h) => h.pop(),
-            Backend::Wheel(w) => w.pop(),
-        }
+        self.wheel.pop()
     }
 
     /// The timestamp of the earliest pending event.
     ///
-    /// Takes `&mut self` because the wheel backend may cascade entries
-    /// down a level to locate its minimum; the queue's contents and
-    /// delivery order are unchanged.
+    /// Takes `&mut self` because the wheel may cascade entries down a
+    /// level to locate its minimum; the queue's contents and delivery
+    /// order are unchanged.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        match &mut self.backend {
-            Backend::Heap(h) => h.peek_time(),
-            Backend::Wheel(w) => w.peek_time(),
-        }
+        self.wheel.peek_time()
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Heap(h) => h.heap.len(),
-            Backend::Wheel(w) => w.len,
-        }
+        self.wheel.len
     }
 
     /// True when no events are pending.
@@ -146,10 +106,7 @@ impl<E> EventQueue<E> {
 
     /// Drop all pending events.
     pub fn clear(&mut self) {
-        match &mut self.backend {
-            Backend::Heap(h) => h.heap.clear(),
-            Backend::Wheel(w) => w.clear(),
-        }
+        self.wheel.clear();
     }
 
     /// Return the queue to its freshly-constructed state — clock origin
@@ -161,9 +118,7 @@ impl<E> EventQueue<E> {
     pub fn reset(&mut self) {
         self.clear();
         self.next_seq = 0;
-        if let Backend::Wheel(w) = &mut self.backend {
-            w.current = 0;
-        }
+        self.wheel.current = 0;
     }
 
     /// Pre-size backing storage for about `additional` pending events
@@ -171,20 +126,12 @@ impl<E> EventQueue<E> {
     /// first pop). The wheel proper is allocation-cheap; this sizes the
     /// overflow heap and staging buffer that absorb bursts.
     pub fn reserve(&mut self, additional: usize) {
-        match &mut self.backend {
-            Backend::Heap(h) => h.heap.reserve(additional),
-            Backend::Wheel(w) => {
-                w.overflow.reserve(additional);
-                w.ready.reserve(additional.min(1024));
-            }
-        }
+        self.wheel.overflow.reserve(additional);
+        self.wheel.ready.reserve(additional.min(1024));
     }
 }
 
-// ---------------------------------------------------------------------------
-// Reference backend: binary min-heap on (time, seq).
-// ---------------------------------------------------------------------------
-
+/// An overflow-heap entry, ordered on `(time, seq)`.
 struct Entry<E> {
     at: SimTime,
     seq: u64,
@@ -213,34 +160,6 @@ impl<E> PartialOrd for Entry<E> {
         Some(self.cmp(other))
     }
 }
-
-struct HeapQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-}
-
-impl<E> HeapQueue<E> {
-    fn new() -> Self {
-        HeapQueue {
-            heap: BinaryHeap::new(),
-        }
-    }
-
-    fn push(&mut self, at: SimTime, seq: u64, event: E) {
-        self.heap.push(Entry { at, seq, event });
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, u64, E)> {
-        self.heap.pop().map(|e| (e.at, e.seq, e.event))
-    }
-
-    fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Timing-wheel backend.
-// ---------------------------------------------------------------------------
 
 /// log2 of the slot count per level.
 const LEVEL_BITS: u32 = 6;
@@ -498,68 +417,58 @@ impl<E> WheelQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Run a closure against both backends, so every test pins both.
-    fn both(f: impl Fn(EventQueue<i64>)) {
-        f(EventQueue::heap());
-        f(EventQueue::wheel());
-    }
+    use std::cmp::Reverse;
 
     #[test]
     fn pops_in_time_order() {
-        both(|mut q| {
-            q.push(SimTime::from_secs(5), 3);
-            q.push(SimTime::from_secs(1), 1);
-            q.push(SimTime::from_secs(3), 2);
-            let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-            assert_eq!(order, [1, 2, 3]);
-        });
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_secs(5), 3);
+        q.push(SimTime::from_secs(1), 1);
+        q.push(SimTime::from_secs(3), 2);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, [1, 2, 3]);
     }
 
     #[test]
     fn ties_break_fifo() {
-        both(|mut q| {
-            let t = SimTime::from_secs(7);
-            for i in 0..100 {
-                q.push(t, i);
-            }
-            let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-            assert_eq!(order, (0..100).collect::<Vec<_>>());
-        });
+        let mut q = EventQueue::new();
+        let t = SimTime::from_secs(7);
+        for i in 0..100 {
+            q.push(t, i);
+        }
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn interleaved_push_pop_keeps_order() {
-        both(|mut q| {
-            q.push(SimTime::from_secs(10), 10);
-            q.push(SimTime::from_secs(2), 2);
-            assert_eq!(q.pop(), Some((SimTime::from_secs(2), 2)));
-            q.push(SimTime::from_secs(4), 4);
-            assert_eq!(q.pop(), Some((SimTime::from_secs(4), 4)));
-            assert_eq!(q.pop(), Some((SimTime::from_secs(10), 10)));
-            assert!(q.pop().is_none());
-        });
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_secs(10), 10);
+        q.push(SimTime::from_secs(2), 2);
+        assert_eq!(q.pop(), Some((SimTime::from_secs(2), 2)));
+        q.push(SimTime::from_secs(4), 4);
+        assert_eq!(q.pop(), Some((SimTime::from_secs(4), 4)));
+        assert_eq!(q.pop(), Some((SimTime::from_secs(10), 10)));
+        assert!(q.pop().is_none());
     }
 
     #[test]
     fn peek_does_not_consume() {
-        both(|mut q| {
-            q.push(SimTime::from_secs(1), 0);
-            assert_eq!(q.peek_time(), Some(SimTime::from_secs(1)));
-            assert_eq!(q.len(), 1);
-            assert!(!q.is_empty());
-        });
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_secs(1), 0);
+        assert_eq!(q.peek_time(), Some(SimTime::from_secs(1)));
+        assert_eq!(q.len(), 1);
+        assert!(!q.is_empty());
     }
 
     #[test]
     fn clear_empties_queue() {
-        both(|mut q| {
-            q.push(SimTime::ZERO, 1);
-            q.push(SimTime::ZERO, 2);
-            q.clear();
-            assert!(q.is_empty());
-            assert_eq!(q.pop(), None);
-        });
+        let mut q = EventQueue::new();
+        q.push(SimTime::ZERO, 1);
+        q.push(SimTime::ZERO, 2);
+        q.clear();
+        assert!(q.is_empty());
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
@@ -567,44 +476,41 @@ mod tests {
         // An event pushed *at* the instant currently being delivered
         // must run after the instant's remaining events (it has a
         // higher seq), exactly as the heap orders it.
-        both(|mut q| {
-            let t = SimTime::from_secs(1);
-            q.push(t, 1);
-            q.push(t, 2);
-            assert_eq!(q.pop(), Some((t, 1)));
-            q.push(t, 3);
-            assert_eq!(q.pop(), Some((t, 2)));
-            assert_eq!(q.pop(), Some((t, 3)));
-            assert_eq!(q.pop(), None);
-        });
+        let mut q = EventQueue::new();
+        let t = SimTime::from_secs(1);
+        q.push(t, 1);
+        q.push(t, 2);
+        assert_eq!(q.pop(), Some((t, 1)));
+        q.push(t, 3);
+        assert_eq!(q.pop(), Some((t, 2)));
+        assert_eq!(q.pop(), Some((t, 3)));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn far_future_events_use_the_overflow_path() {
-        both(|mut q| {
-            // Beyond the 64^7-tick wheel span, and the absolute maximum.
-            let far = SimTime::from_ticks(1 << 62);
-            q.push(SimTime::MAX, 3);
-            q.push(far, 2);
-            q.push(SimTime::from_secs(1), 1);
-            assert_eq!(q.pop(), Some((SimTime::from_secs(1), 1)));
-            assert_eq!(q.pop(), Some((far, 2)));
-            assert_eq!(q.pop(), Some((SimTime::MAX, 3)));
-        });
+        let mut q = EventQueue::new();
+        // Beyond the 64^7-tick wheel span, and the absolute maximum.
+        let far = SimTime::from_ticks(1 << 62);
+        q.push(SimTime::MAX, 3);
+        q.push(far, 2);
+        q.push(SimTime::from_secs(1), 1);
+        assert_eq!(q.pop(), Some((SimTime::from_secs(1), 1)));
+        assert_eq!(q.pop(), Some((far, 2)));
+        assert_eq!(q.pop(), Some((SimTime::MAX, 3)));
     }
 
     #[test]
     fn past_pushes_are_tolerated() {
         // The engine clamps to `now`, but the queue itself must stay
         // well-defined (and heap-identical) if handed an earlier time.
-        both(|mut q| {
-            q.push(SimTime::from_secs(10), 1);
-            assert_eq!(q.pop(), Some((SimTime::from_secs(10), 1)));
-            q.push(SimTime::from_secs(3), 2);
-            q.push(SimTime::from_secs(12), 3);
-            assert_eq!(q.pop(), Some((SimTime::from_secs(3), 2)));
-            assert_eq!(q.pop(), Some((SimTime::from_secs(12), 3)));
-        });
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_secs(10), 1);
+        assert_eq!(q.pop(), Some((SimTime::from_secs(10), 1)));
+        q.push(SimTime::from_secs(3), 2);
+        q.push(SimTime::from_secs(12), 3);
+        assert_eq!(q.pop(), Some((SimTime::from_secs(3), 2)));
+        assert_eq!(q.pop(), Some((SimTime::from_secs(12), 3)));
     }
 
     #[test]
@@ -612,7 +518,7 @@ mod tests {
         // Craft a slot where a cascaded entry (older seq) joins a
         // directly-pushed newer entry at the same tick: delivery must
         // still be seq-ordered.
-        let mut q = EventQueue::wheel();
+        let mut q = EventQueue::new();
         let t = SimTime::from_ticks(100_000);
         q.push(t, 1); // far from current=0: lives at a high level
         q.push(SimTime::from_ticks(99_999), 0);
@@ -629,19 +535,18 @@ mod tests {
         // Popping entries and pushing them back under their original
         // seqs must leave delivery order exactly as if nothing happened,
         // including FIFO ties against never-popped entries.
-        both(|mut q| {
-            let t = SimTime::from_secs(1);
-            q.push(t, 10); // seq 0
-            q.push(t, 11); // seq 1
-            q.push(SimTime::from_secs(2), 12); // seq 2
-            let (at, seq, e) = q.pop_entry().unwrap();
-            assert_eq!((at, seq, e), (t, 0, 10));
-            // A fresh push interleaves while the entry is out.
-            q.push(t, 13); // seq 3
-            q.push_at_seq(at, seq, e);
-            let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-            assert_eq!(order, [10, 11, 13, 12]);
-        });
+        let mut q = EventQueue::new();
+        let t = SimTime::from_secs(1);
+        q.push(t, 10); // seq 0
+        q.push(t, 11); // seq 1
+        q.push(SimTime::from_secs(2), 12); // seq 2
+        let (at, seq, e) = q.pop_entry().unwrap();
+        assert_eq!((at, seq, e), (t, 0, 10));
+        // A fresh push interleaves while the entry is out.
+        q.push(t, 13); // seq 3
+        q.push_at_seq(at, seq, e);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, [10, 11, 13, 12]);
     }
 
     #[test]
@@ -649,51 +554,50 @@ mod tests {
         // The wheel stages a whole instant at the first pop; restoring a
         // lower-seq entry at that instant must still deliver it before
         // the staged higher-seq remainder.
-        both(|mut q| {
-            let t = SimTime::from_secs(5);
-            q.push(t, 20); // seq 0
-            q.push(t, 21); // seq 1
-            q.push(t, 22); // seq 2
-            let (at, seq, e) = q.pop_entry().unwrap();
-            assert_eq!(e, 20);
-            let (at1, seq1, e1) = q.pop_entry().unwrap();
-            assert_eq!(e1, 21);
-            q.push_at_seq(at, seq, e);
-            q.push_at_seq(at1, seq1, e1);
-            let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-            assert_eq!(order, [20, 21, 22]);
-        });
+        let mut q = EventQueue::new();
+        let t = SimTime::from_secs(5);
+        q.push(t, 20); // seq 0
+        q.push(t, 21); // seq 1
+        q.push(t, 22); // seq 2
+        let (at, seq, e) = q.pop_entry().unwrap();
+        assert_eq!(e, 20);
+        let (at1, seq1, e1) = q.pop_entry().unwrap();
+        assert_eq!(e1, 21);
+        q.push_at_seq(at, seq, e);
+        q.push_at_seq(at1, seq1, e1);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, [20, 21, 22]);
     }
 
     #[test]
     fn reset_behaves_like_new() {
-        both(|mut q| {
-            q.push(SimTime::from_secs(3), 1);
-            q.push(SimTime::from_secs(9), 2);
-            q.pop();
-            q.reset();
-            assert!(q.is_empty());
-            // Seqs restart at zero: FIFO ties behave like a fresh queue.
-            q.push(SimTime::from_secs(1), 7);
-            q.push(SimTime::from_secs(1), 8);
-            assert_eq!(q.pop(), Some((SimTime::from_secs(1), 7)));
-            assert_eq!(q.pop(), Some((SimTime::from_secs(1), 8)));
-        });
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_secs(3), 1);
+        q.push(SimTime::from_secs(9), 2);
+        q.pop();
+        q.reset();
+        assert!(q.is_empty());
+        // Seqs restart at zero: FIFO ties behave like a fresh queue.
+        q.push(SimTime::from_secs(1), 7);
+        q.push(SimTime::from_secs(1), 8);
+        assert_eq!(q.pop(), Some((SimTime::from_secs(1), 7)));
+        assert_eq!(q.pop(), Some((SimTime::from_secs(1), 8)));
     }
 
     #[test]
     fn reserve_is_behaviour_neutral() {
-        both(|mut q| {
-            q.reserve(1000);
-            q.push(SimTime::from_secs(1), 1);
-            assert_eq!(q.pop(), Some((SimTime::from_secs(1), 1)));
-        });
+        let mut q = EventQueue::new();
+        q.reserve(1000);
+        q.push(SimTime::from_secs(1), 1);
+        assert_eq!(q.pop(), Some((SimTime::from_secs(1), 1)));
     }
 
     #[test]
     fn dense_microsecond_schedule_matches_heap() {
-        let mut heap = EventQueue::heap();
-        let mut wheel = EventQueue::wheel();
+        // Reference: a binary min-heap on `(time, seq)`; the event is
+        // its own push index, so it doubles as the sequence number.
+        let mut heap = std::collections::BinaryHeap::new();
+        let mut wheel = EventQueue::new();
         // A deterministic scatter of ticks across several wheel levels.
         let mut tick: u64 = 0;
         for i in 0..5_000i64 {
@@ -701,11 +605,11 @@ mod tests {
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             let at = SimTime::from_ticks(tick % 50_000_000);
-            heap.push(at, i);
+            heap.push(Reverse((at, i)));
             wheel.push(at, i);
         }
         loop {
-            let (a, b) = (heap.pop(), wheel.pop());
+            let (a, b) = (heap.pop().map(|Reverse(e)| e), wheel.pop());
             assert_eq!(a, b);
             if a.is_none() {
                 break;

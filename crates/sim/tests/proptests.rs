@@ -3,6 +3,8 @@
 use agentgrid_sim::{EventQueue, RngStream, SimDuration, SimTime, Simulation};
 use proptest::prelude::*;
 use rand::RngCore;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 proptest! {
     /// The event queue delivers in (time, insertion) order for any
@@ -49,10 +51,10 @@ proptest! {
         }
     }
 
-    /// The timing wheel and the reference binary heap deliver ANY
-    /// schedule in exactly the same order — times spanning every wheel
-    /// level plus the far-future overflow path, with interleaved pops
-    /// (including pops while empty and same-instant re-pushes).
+    /// The timing wheel delivers ANY schedule in exactly the order of a
+    /// reference binary min-heap on `(time, seq)` — times spanning every
+    /// wheel level plus the far-future overflow path, with interleaved
+    /// pops (including pops while empty and same-instant re-pushes).
     #[test]
     fn wheel_matches_heap_for_any_schedule(
         ops in proptest::collection::vec(
@@ -67,25 +69,26 @@ proptest! {
             1..300,
         )
     ) {
-        let mut heap = EventQueue::heap();
-        let mut wheel = EventQueue::wheel();
+        // The event is its push index, which is also its sequence number.
+        let mut heap = BinaryHeap::new();
+        let mut wheel = EventQueue::new();
         for (i, op) in ops.into_iter().enumerate() {
             match op {
                 Some(t) => {
                     let at = SimTime::from_ticks(t);
-                    heap.push(at, i);
+                    heap.push(Reverse((at, i)));
                     wheel.push(at, i);
                 }
                 None => {
-                    prop_assert_eq!(heap.peek_time(), wheel.peek_time());
-                    prop_assert_eq!(heap.pop(), wheel.pop());
+                    prop_assert_eq!(heap.peek().map(|Reverse((at, _))| *at), wheel.peek_time());
+                    prop_assert_eq!(heap.pop().map(|Reverse(e)| e), wheel.pop());
                 }
             }
             prop_assert_eq!(heap.len(), wheel.len());
         }
         // Drain: every remaining event must come out identically.
         loop {
-            let (a, b) = (heap.pop(), wheel.pop());
+            let (a, b) = (heap.pop().map(|Reverse(e)| e), wheel.pop());
             prop_assert_eq!(&a, &b);
             if a.is_none() {
                 break;

@@ -118,10 +118,6 @@ pub enum Event {
         /// Island subpopulations evolved in parallel (1 = single
         /// population).
         islands: u32,
-        /// Solution-string positions actually decoded by the delta
-        /// evaluator; `evaluations × tasks` when delta is off, less when
-        /// prefix resumes and memo copies kicked in.
-        delta_positions: u64,
     },
     /// The evaluation cache missed and consulted the PACE engine.
     CacheEvaluate {
@@ -506,7 +502,6 @@ impl TimedEvent {
                 fast_hits,
                 pool_utilisation,
                 islands,
-                delta_positions,
             } => {
                 push("resource", json::s(resource.clone()));
                 push("threads", json::num(f64::from(*threads)));
@@ -516,7 +511,6 @@ impl TimedEvent {
                 push("fast_hits", json::num(*fast_hits as f64));
                 push("pool_utilisation", json::num(*pool_utilisation));
                 push("islands", json::num(f64::from(*islands)));
-                push("delta_positions", json::num(*delta_positions as f64));
             }
             Event::CacheEvaluate {
                 app,
@@ -734,9 +728,10 @@ impl TimedEvent {
                 fast_hits: u64_field("fast_hits")?,
                 pool_utilisation: f64_field("pool_utilisation")?,
                 // Added after the field set above shipped; absent in
-                // older traces, so default rather than reject.
+                // older traces, so default rather than reject. Traces
+                // that still carry the retired `delta_positions` field
+                // parse too: unknown fields are ignored.
                 islands: u32_field("islands").unwrap_or(1),
-                delta_positions: u64_field("delta_positions").unwrap_or(0),
             },
             "cache_evaluate" => Event::CacheEvaluate {
                 app: u32_field("app")?,
@@ -900,7 +895,6 @@ pub(crate) fn one_of_each_variant() -> Vec<TimedEvent> {
             fast_hits: 15_000,
             pool_utilisation: 0.875,
             islands: 4,
-            delta_positions: 9_800,
         },
         Event::CacheEvaluate {
             app: 3,
@@ -1023,6 +1017,8 @@ mod tests {
             let reparsed = crate::json::Value::parse(&v.to_compact()).unwrap();
             assert_eq!(TimedEvent::from_json(&reparsed).unwrap(), te);
         }
+        // Old `ga_hot_path` lines still carry `delta_positions`.
+        assert!(TimedEvent::from_json(&crate::json::Value::parse(r#"{"t":0,"type":"ga_hot_path","resource":"S1","threads":1,"evaluations":80,"evals_per_sec":1e5,"scratch_reuses":79,"fast_hits":0,"pool_utilisation":1,"islands":1,"delta_positions":320}"#).unwrap()).is_some());
     }
 
     #[test]
