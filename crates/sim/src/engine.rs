@@ -51,15 +51,14 @@ impl<E> Default for Simulation<E> {
 }
 
 impl<E> Simulation<E> {
-    /// A fresh simulation with the clock at zero, on the default
-    /// (timing-wheel) event queue.
+    /// A fresh simulation with the clock at zero, on a fresh event queue.
     pub fn new() -> Self {
         Self::with_queue(EventQueue::new())
     }
 
-    /// A fresh simulation driving the given event queue. Both
-    /// [`EventQueue`] backends deliver identical schedules; pick the
-    /// heap explicitly only for baseline comparisons.
+    /// A fresh simulation driving the given event queue — typically a
+    /// recycled one (see [`EventQueue::reset`]), so its allocations stay
+    /// warm across runs.
     pub fn with_queue(queue: EventQueue<E>) -> Self {
         Simulation {
             queue,
