@@ -1,19 +1,20 @@
 //! Pluggable local scheduling policies — the policy zoo.
 //!
-//! [`LocalPolicy`] abstracts the *planned* scheduling kernels (the GA,
-//! the batch heuristics, simulated annealing) behind one contract so
-//! [`SchedulerSystem`](crate::SchedulerSystem) can drive any of them
-//! through the identical event protocol. The FIFO and batch-queue
-//! baselines keep their dedicated dispatch paths (they fix allocations
-//! at arrival and never re-plan), so they live outside this trait.
+//! [`Planner`] is the contract of the *planned* scheduling kernels (the
+//! GA, the batch heuristics, simulated annealing), which re-plan the
+//! whole pending set on every event. One blanket impl turns every
+//! planner into a policy that [`SchedulerSystem`](crate::SchedulerSystem)
+//! drives through the same dispatch path as the FIFO and batch-queue
+//! baselines; those fix allocations at arrival and implement only the
+//! dispatch hooks, not [`Planner`].
 //!
 //! ### The contract
 //!
-//! A planned policy is called with the current [`ResourceView`] and the
-//! full pending task set on every scheduling event and returns a
-//! complete tentative schedule ([`PlanOutcome`]). The system commits
-//! the placements whose start has arrived and re-plans on the next
-//! event. Implementations must be:
+//! A planner is called with the current [`ResourceView`] and the full
+//! pending task set on every scheduling event and returns a complete
+//! tentative schedule ([`PlanOutcome`]). The system launches the
+//! placements whose start has arrived and re-plans on the next event.
+//! Implementations must be:
 //!
 //! 1. **Deterministic** — decisions are a pure function of the inputs
 //!    and the policy's own [`RngStream`]; thread counts, telemetry and
@@ -37,7 +38,8 @@ use crate::decode::{decode, EvalContext, ResourceView};
 use crate::fifo::best_allocation;
 use crate::ga::engine::{greedy_seed, EvolveOutcome, GaScheduler};
 use crate::solution::Solution;
-use crate::task::Task;
+use crate::system::{Host, StartedTask, Trigger};
+use crate::task::{Task, TaskId};
 use agentgrid_cluster::NodeMask;
 use agentgrid_pace::CachedEngine;
 use agentgrid_sim::{RngStream, SimDuration, SimTime};
@@ -48,9 +50,9 @@ use rand::Rng;
 /// (all planned policies report through the same shape).
 pub type PlanOutcome = EvolveOutcome;
 
-/// A pluggable local scheduling kernel (see the module docs for the
+/// A pluggable planning kernel (see the module docs for the
 /// determinism / FIFO-bound / legitimacy contract).
-pub trait LocalPolicy: Send + Sync {
+pub trait Planner: Send + Sync {
     /// Stable lowercase identifier (`"ga"`, `"minmin"`, …) — the same
     /// token the CLI, recordings and result JSON use.
     fn name(&self) -> &'static str;
@@ -58,12 +60,13 @@ pub trait LocalPolicy: Send + Sync {
     /// Wire telemetry, labelling events with the owning resource name.
     fn set_telemetry(&mut self, telemetry: Telemetry, label: &str);
 
-    /// A new task was appended to the pending queue.
-    fn absorb_added_task(&mut self, nproc: usize);
+    /// A new task was appended to the pending queue (a planner that
+    /// keeps no state between events ignores it).
+    fn absorb_added_task(&mut self, _nproc: usize) {}
 
     /// Pending-queue index `task` was removed (started or cancelled);
     /// later indices shift down by one.
-    fn absorb_removed_task(&mut self, task: usize);
+    fn absorb_removed_task(&mut self, _task: usize) {}
 
     /// Plan the full pending set against the current view, returning a
     /// tentative schedule whose due placements the system will commit.
@@ -82,7 +85,64 @@ pub trait LocalPolicy: Send + Sync {
     }
 }
 
-impl LocalPolicy for GaScheduler {
+/// Every planner dispatches the same way: re-plan the whole pending set,
+/// launch the placements due now, advertise the new plan's makespan.
+impl<P: Planner> crate::system::LocalPolicy for P {
+    fn name(&self) -> &'static str {
+        Planner::name(self)
+    }
+
+    fn set_telemetry(&mut self, telemetry: Telemetry, label: &str) {
+        Planner::set_telemetry(self, telemetry, label);
+    }
+
+    fn budget(&self) -> Option<usize> {
+        Planner::budget(self)
+    }
+
+    fn set_budget(&mut self, budget: usize) -> bool {
+        Planner::set_budget(self, budget)
+    }
+
+    fn absorb_added_task(&mut self, _task: &Task, host: &Host) {
+        Planner::absorb_added_task(self, host.resource.nproc());
+    }
+
+    fn absorb_removed_task(&mut self, pos: usize, _id: TaskId) {
+        Planner::absorb_removed_task(self, pos);
+    }
+
+    fn dispatch(&mut self, host: &mut Host, now: SimTime, _trigger: Trigger) -> Vec<StartedTask> {
+        let Some(view) = ResourceView::snapshot(&host.resource, now) else {
+            return Vec::new(); // full outage: hold everything
+        };
+        let outcome = self.plan(&view, &host.pending, &host.engine);
+        host.plan_makespan = outcome.schedule.makespan;
+
+        // Placements due now, in descending pending-index order so removal
+        // keeps earlier indices (and the planner's absorbed indices) valid.
+        let mut due: Vec<_> = outcome
+            .schedule
+            .placements
+            .iter()
+            .filter(|p| p.start <= now)
+            .copied()
+            .collect();
+        due.sort_by_key(|p| std::cmp::Reverse(p.task));
+
+        let mut started = Vec::with_capacity(due.len());
+        for p in due {
+            let task = host.pending.remove(p.task);
+            Planner::absorb_removed_task(self, p.task);
+            let predicted = p.completion.saturating_since(p.start);
+            started.push(host.launch(task, p.mask, p.start, predicted));
+        }
+        started.sort_by_key(|s| (s.start, s.id.0));
+        started
+    }
+}
+
+impl Planner for GaScheduler {
     fn name(&self) -> &'static str {
         "ga"
     }
@@ -333,7 +393,7 @@ impl HeuristicPolicy {
     }
 }
 
-impl LocalPolicy for HeuristicPolicy {
+impl Planner for HeuristicPolicy {
     fn name(&self) -> &'static str {
         self.rule.name()
     }
@@ -342,10 +402,6 @@ impl LocalPolicy for HeuristicPolicy {
         self.telemetry = telemetry;
         self.label = label.to_string();
     }
-
-    fn absorb_added_task(&mut self, _nproc: usize) {}
-
-    fn absorb_removed_task(&mut self, _task: usize) {}
 
     fn plan(&mut self, view: &ResourceView, tasks: &[Task], engine: &CachedEngine) -> PlanOutcome {
         let m = tasks.len();
@@ -445,7 +501,7 @@ fn perturb(solution: &Solution, nproc: usize, rng: &mut RngStream) -> Solution {
     s
 }
 
-impl LocalPolicy for AnnealingPolicy {
+impl Planner for AnnealingPolicy {
     fn name(&self) -> &'static str {
         "anneal"
     }
@@ -454,10 +510,6 @@ impl LocalPolicy for AnnealingPolicy {
         self.telemetry = telemetry;
         self.label = label.to_string();
     }
-
-    fn absorb_added_task(&mut self, _nproc: usize) {}
-
-    fn absorb_removed_task(&mut self, _task: usize) {}
 
     fn plan(&mut self, view: &ResourceView, tasks: &[Task], engine: &CachedEngine) -> PlanOutcome {
         let m = tasks.len();
@@ -565,7 +617,7 @@ mod tests {
         tasks
     }
 
-    fn zoo() -> Vec<Box<dyn LocalPolicy>> {
+    fn zoo() -> Vec<Box<dyn Planner>> {
         vec![
             Box::new(HeuristicPolicy::new(HeuristicRule::MinMin)),
             Box::new(HeuristicPolicy::new(HeuristicRule::MaxMin)),

@@ -130,8 +130,12 @@ pub fn brute_force_best(
 /// The arrival-order greedy schedule of the FIFO baseline: each task in
 /// submission order takes the allocation minimising its own completion
 /// (exhaustive over every non-empty subset of available nodes), with
-/// ties broken towards fewer nodes then lower mask bits — the same
-/// rule [`FifoPolicy`](agentgrid_scheduler::FifoPolicy) applies.
+/// ties broken towards fewer nodes then lower mask bits. This is the
+/// rule of `policy::fifo_seed`, not of
+/// [`FifoPolicy`](agentgrid_scheduler::FifoPolicy): that runs the
+/// prefix search of `fifo::best_allocation` from a head-of-line floor
+/// (no task starts before its predecessor), so its node sets can differ
+/// on tied free times and its starts wherever the floor binds.
 pub fn fifo_reference(
     view: &ResourceView,
     tasks: &[Task],

@@ -18,8 +18,8 @@
 use agentgrid_cluster::{ExecEnv, GridResource};
 use agentgrid_pace::{AppId, ApplicationModel, CachedEngine, ModelCurve, Platform, TabulatedModel};
 use agentgrid_scheduler::{
-    AnnealingPolicy, GaConfig, GaScheduler, HeuristicPolicy, HeuristicRule, LocalPolicy,
-    ResourceView, SaConfig, Task, TaskId,
+    AnnealingPolicy, GaConfig, GaScheduler, HeuristicPolicy, HeuristicRule, Planner, ResourceView,
+    SaConfig, Task, TaskId,
 };
 use agentgrid_sim::{RngStream, SimTime};
 use rand::Rng;
@@ -136,7 +136,7 @@ pub fn diff_ga_config() -> GaConfig {
 /// entrant never shifts another's draws). FIFO and Batch are
 /// fixed-allocation baselines, not planned policies — FIFO is the
 /// bracket's upper oracle itself.
-pub fn planned_zoo(seed: u64) -> Vec<Box<dyn LocalPolicy>> {
+pub fn planned_zoo(seed: u64) -> Vec<Box<dyn Planner>> {
     vec![
         Box::new(GaScheduler::new(
             diff_ga_config(),
